@@ -15,8 +15,10 @@ point (like UCR-Suite-P's end-of-scan combine).
 
 **Timing note.** Every action re-ships each partition's series through
 Arrow (Spark's execution model); ``cache_token`` only avoids *rebuilding*
-the engine on a reused worker. At tier sizes this fixed transport cost
-is the dominant per-action term for every method equally; the
+the engine on a reused worker. The dominant per-action term is fixed,
+not transport: on a 4-core host an action that ships no series already
+costs 0.3–0.47 s, and shipping every series adds 0.03–0.12 s
+(``perfbench/README.md``). It is the same for every method; the
 experiment harness therefore offers a marginal-cost protocol
 (``repro.experiments.runner.timed_search(mode='marginal')``) that
 cancels it out. See EXPERIMENTS.md § Table II.
@@ -89,6 +91,10 @@ def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
 
         engine = cache.get_or_build((token, method, pid), build) if token \
             else build()
+        # a cache hit leaves the input unread, and PySpark discards a Python
+        # worker (and the cache it holds) that returns before draining it
+        for _ in batches:
+            pass
         if engine is None:
             return
         yield _answer(engine, method, queries, k)

@@ -1,8 +1,9 @@
 """Driver-local engine timings — the overhead-free companion to Table II.
 
-The Spark path pays a fixed per-action cost (task scheduling + Arrow
-shipping of each partition's series) that is identical for all four
-methods and, at laptop scale, comparable to the engine work itself.
+The Spark path pays a fixed per-action cost (task scheduling and
+Python-worker round trips; shipping the series adds little) that is
+identical for all four methods and, at laptop scale, comparable to the
+engine work itself.
 This module times the bare per-partition engines on the whole dataset
 in-process, which is the number to compare against the paper's
 per-query milliseconds: the *engines* are what the paper benchmarks;

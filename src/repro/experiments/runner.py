@@ -87,7 +87,8 @@ def timed_search(spark: SparkSession, cfg: SearchConfig,
     answering 3Q (the query batch repeated); the difference / 2Q is the
     per-query engine cost *through the executors* with the identical
     shipping/build cost of the two actions cancelled out. Used for the
-    paper-scale runs where engine work must be separated from transport.
+    paper-scale runs where engine work must be separated from the fixed
+    per-action cost.
 
     Returns ``{"ms_per_query": float, "result": pandas DataFrame}``.
     """

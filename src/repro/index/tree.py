@@ -3,32 +3,31 @@
 Structure (paper Section IV-B):
 
 - **Root**: fans out on the 1-bit-per-position prefix word (up to 2^l
-  children; materialized lazily in a dict).
+  children; only the non-empty ones exist).
 - **Inner nodes**: exactly two children, produced by promoting one
-  position's cardinality by one bit; the node's (symbols, bits) pair is
-  the variable-cardinality word covering its whole subtree.
-- **Leaves**: row indices into the in-memory series matrix plus the
-  (uint8, full-cardinality) words of those rows.
+  position's cardinality by one bit (iSAX2.0-style balanced split).
+- **Leaves**: a variable-cardinality word (``leaf_symbols`` at
+  ``leaf_bits``) covering a contiguous run of row ids in ``perm``.
 
-Exact search (Section IV-C, GEMINI): approximate descent to seed the
-best-so-far (BSF), then a priority queue of leaves ordered by
-node-level lower-bound distance; leaves are drained until the queue
-head's LBD exceeds the BSF, each drained leaf is LBD-filtered per
-series with the batched branchless kernel, and survivors are verified
+Only the leaves are stored: search never walks the tree, and the inner
+nodes are implicit in the leaves' (symbols, bits) words.
+
+Exact search (Section IV-C, GEMINI): the node-level lower bounds of
+*all* leaves come from one vectorized pass over the leaf interval boxes
+``leaf_lo``/``leaf_hi`` and order the priority queue. The leaf with the
+smallest lower bound is drained first and seeds the best-so-far (BSF),
+replacing MESSI's approximate descent. The queue is then drained until
+its head's LBD reaches the BSF: each drained leaf is LBD-filtered per
+series with the batched branchless kernel and survivors are verified
 with real Euclidean distances, tightening the BSF as they go.
 
-Two deliberate adaptations of MESSI's C implementation to vectorized
-NumPy (documented in DESIGN.md):
-
-- the node-level LBDs of *all* leaves are computed in one vectorized
-  pass over precomputed leaf interval boxes (MESSI computes them per
-  node while walking subtrees in parallel workers);
-- the priority queue is drained in *chunks* of ~2048 series (batch
-  ``DeleteMin``): the BSF updates between chunks rather than between
-  single leaves. Both keep GEMINI exactness — a leaf is only skipped
-  when its LBD (a true lower bound for every series in it) is >= the
-  current BSF — while replacing per-leaf Python overhead with wide
-  NumPy kernels, the same role SIMD plays in the paper.
+The queue is drained in *chunks* (batch ``DeleteMin``): the first chunk
+is one leaf, then the row budget doubles up to ``CHUNK_ROWS``, so the
+BSF updates between chunks rather than between single leaves. A leaf is
+only skipped when its LBD (a true lower bound for every series in it) is
+>= the current BSF, so any chunk size gives the same exact answer; wide
+NumPy kernels replace per-leaf Python work, the role SIMD plays in the
+paper (DESIGN.md §5).
 
 The paper's multi-threaded index workers map to Spark partitions in
 this repo (each partition owns an independent TreeIndex; see
@@ -44,6 +43,9 @@ import numpy as np
 from repro.core.distance import ed2_batch
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
+
+#: row budget of one batch-DeleteMin chunk once the ramp has grown
+CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -62,30 +64,12 @@ class SearchStats:
         return 1.0 - self.series_ed_computed / max(1, self.n_series)
 
 
-class _Node:
-    __slots__ = ("symbols", "bits", "rows", "words", "children", "split_pos",
-                 "count", "leaf_id")
-
-    def __init__(self, symbols, bits):
-        self.symbols = symbols  # (l,) int64, values in [0, 2^bits[j])
-        self.bits = bits        # (l,) int64
-        self.rows = None        # leaf: (m,) int64 row ids into X
-        self.words = None       # leaf: (m, l) uint8 full-cardinality words
-        self.children = None    # inner: [child0, child1] on split bit 0/1
-        self.split_pos = None
-        self.count = 0          # series in this subtree
-        self.leaf_id = -1       # index into the flat leaf arrays
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
 class TreeIndex:
     """In-memory exact-search index over z-normalized series ``X``.
 
     ``ids`` are the external identifiers returned from queries (defaults
     to 0..N-1); the MESSI/SOFA leaf-capacity parameter is ``leaf_size``.
+    Leaf ``i`` holds the rows ``perm[leaf_start[i]:leaf_start[i + 1]]``.
     """
 
     def __init__(self, summary: SymbolicSummary, X: np.ndarray,
@@ -103,145 +87,101 @@ class TreeIndex:
         # word_bits = log2(alphabet): symbols are words at THIS cardinality,
         # so every shift in the tree is relative to it, not to a fixed 8.
         self.word_bits = summary.bits
-        self.words = summary.words(self.X)  # (N, l) uint8
-        self.root: dict[tuple, _Node] = {}
-        self._bulk_build()
-        self._finalize()
+        self._build(summary.words(self.X))
 
     # ---------------------------------------------------------------- build
-    def _bulk_build(self) -> None:
-        l = self.summary.l
-        if self.X.shape[0] == 0:
-            return
-        first_bits = (self.words >> (self.word_bits - 1)).astype(np.int64)  # (N, l)
+    def _build(self, words: np.ndarray) -> None:
+        """Split the root groups into leaves and lay the leaves out as
+        flat arrays: (symbols, bits) words, interval boxes (the node-level
+        LBD operands), and row ids grouped by leaf."""
+        l = words.shape[1]
+        wb = self.word_bits
         # group rows by root key (the 1-bit prefix word), like MESSI's
         # initial chunk pass
-        keys, inverse = np.unique(first_bits, axis=0, return_inverse=True)
-        for gi in range(len(keys)):
-            rows = np.nonzero(inverse == gi)[0].astype(np.int64)
-            node = _Node(symbols=keys[gi].copy(), bits=np.ones(l, dtype=np.int64))
-            node.rows = rows
-            node.words = self.words[rows]
-            node.count = len(rows)
-            self._split_if_needed(node)
-            self.root[tuple(keys[gi])] = node
+        keys, inverse, counts = np.unique(
+            (words >> (wb - 1)).astype(np.int64), axis=0,
+            return_inverse=True, return_counts=True)
+        groups = np.split(np.argsort(inverse.ravel(), kind="stable"),
+                          np.cumsum(counts)[:-1])
+        stack = [(rows, key, np.ones(l, dtype=np.int64))
+                 for rows, key in zip(groups, keys)]
+        leaves = []
+        while stack:
+            rows, symbols, bits = stack.pop()
+            pos = (self._choose_split_pos(words[rows], bits)
+                   if len(rows) > self.leaf_size else None)
+            if pos is None:  # fits, or every position at max cardinality
+                leaves.append((rows, symbols, bits))
+                continue
+            bit = (words[rows, pos].astype(np.int64) >> (wb - bits[pos] - 1)) & 1
+            for b in (0, 1):
+                child = rows[bit == b]
+                if len(child):
+                    sym, cb = symbols.copy(), bits.copy()
+                    sym[pos] = (sym[pos] << 1) | b
+                    cb[pos] += 1
+                    stack.append((child, sym, cb))
 
-    def _split_if_needed(self, node: _Node) -> None:
-        if len(node.rows) <= self.leaf_size:
-            return
-        pos = self._choose_split_pos(node)
-        if pos is None:  # every position at max cardinality: oversized leaf
-            return
-        shift = self.word_bits - (node.bits[pos] + 1)
-        bit = (node.words[:, pos].astype(np.int64) >> shift) & 1
-        node.split_pos = pos
-        node.children = []
-        for b in (0, 1):
-            sym = node.symbols.copy()
-            bits = node.bits.copy()
-            sym[pos] = (sym[pos] << 1) | b
-            bits[pos] += 1
-            child = _Node(symbols=sym, bits=bits)
-            mask = bit == b
-            child.rows = node.rows[mask]
-            child.words = node.words[mask]
-            child.count = int(mask.sum())
-            node.children.append(child)
-        node.rows = None
-        node.words = None
-        for child in node.children:
-            if child.count:
-                self._split_if_needed(child)
+        sizes = np.array([len(lf[0]) for lf in leaves], dtype=np.int64)
+        self.leaf_start = np.concatenate(([0], np.cumsum(sizes)))
+        self.perm = (np.concatenate([lf[0] for lf in leaves]) if leaves
+                     else np.zeros(0, dtype=np.int64))
+        self.leaf_symbols = np.array([lf[1] for lf in leaves],
+                                     dtype=np.int64).reshape(-1, l)
+        self.leaf_bits = np.array([lf[2] for lf in leaves],
+                                  dtype=np.int64).reshape(-1, l)
+        self.words_perm = words[self.perm]
+        cols = np.arange(l)[None, :]
+        shift = wb - self.leaf_bits
+        self.leaf_lo = self.summary.edges[cols, self.leaf_symbols << shift]
+        self.leaf_hi = self.summary.edges[cols, (self.leaf_symbols + 1) << shift]
 
-    def _choose_split_pos(self, node: _Node) -> int | None:
+    def _choose_split_pos(self, words: np.ndarray,
+                          bits: np.ndarray) -> int | None:
         """Pick the position whose next bit splits the node most evenly
         (iSAX2.0-style balanced split; paper Section IV-B)."""
-        candidates = np.nonzero(node.bits < self.word_bits)[0]
+        candidates = np.nonzero(bits < self.word_bits)[0]
         if len(candidates) == 0:
             return None
-        shifts = self.word_bits - (node.bits[candidates] + 1)
-        bits = (node.words[:, candidates].astype(np.int64) >> shifts[None, :]) & 1
-        ones = bits.sum(axis=0)
-        imbalance = np.abs(2 * ones - len(node.rows))
+        shifts = self.word_bits - (bits[candidates] + 1)
+        nxt = (words[:, candidates].astype(np.int64) >> shifts[None, :]) & 1
+        imbalance = np.abs(2 * nxt.sum(axis=0) - len(words))
         return int(candidates[int(np.argmin(imbalance))])
-
-    def _finalize(self) -> None:
-        """Flatten non-empty leaves into contiguous arrays for vectorized
-        search: interval boxes (node-level LBD operands), a permutation of
-        row ids grouped by leaf, and the permuted word matrix."""
-        l, wb = self.summary.l, self.word_bits
-        leaves: list[_Node] = []
-        stack = list(self.root.values())
-        while stack:
-            nd = stack.pop()
-            if nd.is_leaf:
-                if nd.count:
-                    nd.leaf_id = len(leaves)
-                    leaves.append(nd)
-            else:
-                stack.extend(nd.children)
-        self.leaves = leaves
-        L = len(leaves)
-        self.leaf_lo = np.empty((L, l))
-        self.leaf_hi = np.empty((L, l))
-        self.leaf_start = np.zeros(L + 1, dtype=np.int64)
-        perm_parts = []
-        cols = np.arange(l)
-        for i, nd in enumerate(leaves):
-            shift = wb - nd.bits
-            self.leaf_lo[i] = self.summary.edges[cols, nd.symbols << shift]
-            self.leaf_hi[i] = self.summary.edges[cols, (nd.symbols + 1) << shift]
-            self.leaf_start[i + 1] = self.leaf_start[i] + nd.count
-            perm_parts.append(nd.rows)
-        self.perm = (np.concatenate(perm_parts) if perm_parts
-                     else np.zeros(0, dtype=np.int64))
-        self.words_perm = self.words[self.perm]
-        # root-key matrix for the vectorized nearest-prefix fallback
-        self._root_list = list(self.root.values())
-        self._root_keys = (np.array([nd.symbols for nd in self._root_list],
-                                    dtype=np.int64)
-                           if self._root_list else np.zeros((0, l), np.int64))
 
     # ---------------------------------------------------------------- stats
     def structure_stats(self) -> dict:
-        """Tree-shape statistics (paper Figure 8): depth, leaf fill, fanout."""
-        depths, fills = [], []
-        stack = [(nd, 1) for nd in self.root.values()]
-        while stack:
-            nd, d = stack.pop()
-            if nd.is_leaf:
-                if nd.count == 0:
-                    continue
-                depths.append(d)
-                fills.append(nd.count / self.leaf_size)
-            else:
-                stack.extend((c, d + 1) for c in nd.children)
+        """Tree-shape statistics (paper Figure 8): depth, leaf fill, fanout.
+
+        Every split below the root adds one bit to one position, so a
+        leaf's depth is 1 + its extra bits, and its root key is the
+        first bit of every symbol."""
+        if len(self.leaf_bits) == 0:
+            return {"root_fanout": 0, "n_leaves": 0, "mean_depth": 0.0,
+                    "mean_leaf_fill": 0.0}
+        root_keys = self.leaf_symbols >> (self.leaf_bits - 1)
         return {
-            "root_fanout": len(self.root),
-            "n_leaves": len(self.leaves),
-            "mean_depth": float(np.mean(depths)) if depths else 0.0,
-            "mean_leaf_fill": float(np.mean(fills)) if fills else 0.0,
+            "root_fanout": len(np.unique(root_keys, axis=0)),
+            "n_leaves": len(self.leaf_bits),
+            "mean_depth": float(np.mean(1 + (self.leaf_bits - 1).sum(axis=1))),
+            "mean_leaf_fill": float(np.mean(np.diff(self.leaf_start)
+                                            / self.leaf_size)),
         }
 
     # --------------------------------------------------------------- search
     def knn(self, q: np.ndarray, k: int = 1,
-            stats: SearchStats | None = None,
-            chunk_rows: int = 2048) -> list[tuple[float, int]]:
+            stats: SearchStats | None = None) -> list[tuple[float, int]]:
         """Exact k nearest neighbors of z-normalized query ``q``.
 
         Returns ``[(distance, id), ...]`` ascending, ties broken by id.
-        ``chunk_rows`` is the batch-DeleteMin granularity (see module
-        docstring); any value yields the same exact result.
         """
         if self.X.shape[0] == 0:
             return []
         k = min(k, self.X.shape[0])
         st = stats if stats is not None else SearchStats()
         st.n_series = self.X.shape[0]
-        st.n_leaves = len(self.leaves)
+        st.n_leaves = len(self.leaf_bits)
         q = np.ascontiguousarray(q, dtype=np.float64).ravel()
         qvals = self.summary.approx(q[None, :])[0]
-        qword = self.summary.words_from_approx(qvals[None, :])[0]
         edges, weights = self.summary.edges, self.summary.weights
 
         # heap of (-d2, -id) so the worst of the current k is on top
@@ -273,59 +213,31 @@ class TreeIndex:
                 offer(float(d2s[j]), int(self.ids[self.perm[surv[j]]]))
                 b = bsf2()
 
-        # 1) approximate search: descend toward the query's own word to
-        #    seed the BSF with real distances from the most similar leaf
-        seed = self._descend(qword)
-        seed_id = -1
-        if seed is not None and seed.count:
-            seed_id = seed.leaf_id
-            st.leaves_visited += 1
-            process(np.arange(self.leaf_start[seed_id],
-                              self.leaf_start[seed_id + 1]))
-
-        # 2) node-level LBD of every leaf in one vectorized pass — the
-        #    priority-queue ordering of MESSI, materialized at once
+        # node-level LBD of every leaf in one vectorized pass — the
+        # priority-queue ordering of MESSI, materialized at once
         leaf_d2 = batch_interval_mindist2(qvals, self.leaf_lo, self.leaf_hi,
                                           weights)
         order = np.argsort(leaf_d2, kind="stable")
+        queue_d2 = leaf_d2[order]
+        starts = self.leaf_start[order]
+        sizes = self.leaf_start[order + 1] - starts
+        ends = np.cumsum(sizes)  # rows drained once queue[:i + 1] is done
 
-        # 3) drain the queue in chunks; stop when the head can't beat BSF
-        i, L = 0, len(order)
-        while i < L:
-            if leaf_d2[order[i]] >= bsf2():
+        # drain the queue in chunks of whole leaves: leaves up to the first
+        # whose rows fill the budget, cut at the first LBD >= BSF
+        i, budget = 0, 1
+        while True:
+            stop = min(int(np.searchsorted(ends, (ends[i - 1] if i else 0)
+                                           + budget)) + 1,
+                       int(np.searchsorted(queue_d2, bsf2())))
+            if stop <= i:
                 break
-            chunk: list[np.ndarray] = []
-            rows_acc = 0
-            while i < L and rows_acc < chunk_rows and leaf_d2[order[i]] < bsf2():
-                lid = int(order[i])
-                i += 1
-                if lid == seed_id:
-                    continue
-                st.leaves_visited += 1
-                chunk.append(np.arange(self.leaf_start[lid],
-                                       self.leaf_start[lid + 1]))
-                rows_acc += self.leaf_start[lid + 1] - self.leaf_start[lid]
-            if chunk:
-                process(np.concatenate(chunk))
+            lens = sizes[i:stop]
+            offsets = np.cumsum(lens) - lens
+            sel = np.arange(int(lens.sum())) + np.repeat(starts[i:stop] - offsets,
+                                                        lens)
+            st.leaves_visited += stop - i
+            process(sel)
+            i, budget = stop, min(2 * len(sel), CHUNK_ROWS)
 
         return sorted((float(np.sqrt(max(0.0, -nd2))), -nid) for nd2, nid in best)
-
-    def _descend(self, qword: np.ndarray) -> _Node | None:
-        """Follow the query's word to the most similar leaf (approximate
-        search step); falls back to the nearest root child if the exact
-        1-bit prefix is absent."""
-        key = tuple((qword >> (self.word_bits - 1)).astype(np.int64))
-        node = self.root.get(key)
-        if node is None:
-            if not self.root:
-                return None
-            # nearest root child by Hamming distance on the 1-bit prefix
-            # (one vectorized pass over the root-key matrix)
-            ham = (self._root_keys != np.asarray(key)[None, :]).sum(axis=1)
-            node = self._root_list[int(np.argmin(ham))]
-        while not node.is_leaf:
-            shift = self.word_bits - node.children[0].bits[node.split_pos]
-            bit = (int(qword[node.split_pos]) >> shift) & 1
-            nxt = node.children[bit]
-            node = nxt if nxt.count else node.children[1 - bit]
-        return node

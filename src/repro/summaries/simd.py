@@ -5,7 +5,8 @@ The paper's Algorithm 3 vectorizes Eq. 2 with SIMD: gather each symbol's
 each branch's distance with its mask, combine, and early-abandon after
 each 8-wide chunk. NumPy's vectorized ufuncs over contiguous arrays are
 the single-node Python analog: the same mask dataflow, no per-element
-Python branching.
+Python branching. They do not abandon early: one pass over a whole batch
+of words costs less in NumPy than stopping series by series.
 
 All functions take the *query side* as numeric approx values (PAA means
 for iSAX / scaled DFT components for SFA) and the *candidate side* as
@@ -56,33 +57,6 @@ def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
     d_up = np.where(q > hi, q - hi, 0.0)              # UPPER branch, masked
     d = d_low + d_up                                  # ZERO branch contributes 0
     return np.einsum("ij,j->i", d * d, np.asarray(weights, dtype=np.float64))
-
-
-def mindist2_early_abandon(qvals, word, edges, weights, bsf2: float,
-                           chunk: int = 8) -> float:
-    """Per-series squared LBD with chunked early abandoning (Algorithm 3).
-
-    Processes positions in ``chunk``-wide blocks (the 256-bit register
-    analog); positions are assumed ordered by decreasing variance, so
-    high-contribution components come first. A return value ``> bsf2``
-    certifies only "prunable", like the SIMD routine in the paper.
-    """
-    word = np.asarray(word)
-    q = np.asarray(qvals, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    total = 0.0
-    for i in range(0, len(word), chunk):
-        sl = slice(i, i + chunk)
-        ww = word[sl].astype(np.int64)
-        rows = np.arange(i, min(i + chunk, len(word)))
-        lo = edges[rows, ww]
-        hi = edges[rows, ww + 1]
-        qq = q[sl]
-        d = np.where(qq < lo, lo - qq, 0.0) + np.where(qq > hi, qq - hi, 0.0)
-        total += float(np.dot(w[sl] * d, d))
-        if total > bsf2:
-            return total
-    return total
 
 
 def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import ed, ed2, ed2_batch, ed2_early_abandon
+from repro.core.distance import ed, ed2, ed2_batch
+from tests.helpers import ed2_early_abandon
 
 
 @pytest.mark.parametrize("seed", range(10))

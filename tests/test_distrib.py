@@ -9,7 +9,7 @@ from repro.core.znorm import znormalize
 from repro.datasets.registry import make_dataset, make_queries
 from repro.distrib import (exact_knn, fit_sfa_spark, gemini_knn_sql,
                            series_df, to_matrix, with_words)
-from repro.distrib.search import METHODS
+from repro.distrib.search import METHODS, _full_pass
 from repro.oracle import assert_equivalent
 from tests.helpers import znormed
 
@@ -153,6 +153,21 @@ def test_exact_knn_with_cache_token_is_stable(spark, df, data, summary):
                   cache_token="t1").toPandas().sort_values("query_id")
     pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                   b.reset_index(drop=True))
+
+
+def test_cache_hit_drains_its_input(data):
+    """A cache hit must still read every input batch: PySpark discards a
+    Python worker that leaves its input unread, and the cache with it."""
+    X, Q = data
+    pdf = pd.DataFrame({"id": np.arange(len(X)), "series": list(X)})
+    run = _full_pass("flat", Q, 1, None, 32, 8, 32, token="drain-on-hit")
+    outputs, unread = [], []
+    for _ in range(2):
+        batches = iter([pdf[:100], pdf[100:]])
+        outputs.append(next(run(batches)))
+        unread.append(len(list(batches)))
+    assert unread == [0, 0]
+    pd.testing.assert_frame_equal(outputs[0], outputs[1])
 
 
 def test_exact_knn_single_partition(spark, data, summary):

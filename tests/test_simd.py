@@ -5,9 +5,8 @@ import pytest
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import (batch_interval_mindist2, batch_mindist2,
-                                  mindist2_early_abandon, mindist2_ref,
-                                  node_mindist2)
-from tests.helpers import znormed
+                                  mindist2_ref, node_mindist2)
+from tests.helpers import mindist2_early_abandon, znormed
 
 
 def _summary(kind, seed=0, alphabet=64, l=8, n=64):

@@ -1,23 +1,7 @@
-"""Smoke tests for the provided TPC-H-lite scaffolding and its data-series
-extensions, wired through the DuckDB oracle."""
+"""Smoke tests for the data-series DataFrame entry points."""
 import numpy as np
 
 from repro import synth_data
-from repro.oracle import assert_equivalent
-
-
-def test_lineitem_oracle_aggregation(spark):
-    """Keeps the provided oracle + TPC-H path alive: a Spark aggregation
-    over lineitem must match DuckDB on identical input."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").sum("l_quantity") \
-        .withColumnRenamed("sum(l_quantity)", "total_qty")
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, SUM(l_quantity) AS total_qty "
-        "FROM lineitem GROUP BY l_returnflag",
-        lineitem=li,
-    )
 
 
 def test_data_series_extension(spark):

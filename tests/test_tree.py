@@ -5,7 +5,7 @@ import pytest
 from repro.core.znorm import znormalize
 from repro.datasets.generators import seismic, sine_mix, vector_gaussian
 from repro.datasets.registry import make_dataset, make_queries
-from repro.index import build_messi, build_sofa
+from repro.index import build_messi, build_sofa, tree
 from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
 from tests.helpers import brute_knn, znormed
@@ -33,15 +33,18 @@ def test_all_series_in_exactly_one_leaf(name, builder, leaf_size):
     assert idx.leaf_start[-1] == 200
 
 
+def _leaf_of_row(idx):
+    """Leaf number of every position of ``perm``."""
+    return np.repeat(np.arange(len(idx.leaf_bits)), np.diff(idx.leaf_start))
+
+
 @pytest.mark.parametrize("name,builder", BUILDERS)
 def test_leaf_capacity_respected(name, builder):
     X = znormed(500, 64, seed=2)
     idx = builder(X, leaf_size=16)
     sizes = np.diff(idx.leaf_start)
     # leaves may only exceed capacity when every position is at max bits
-    for nd, size in zip(idx.leaves, sizes):
-        if size > 16:
-            assert (nd.bits == idx.word_bits).all()
+    assert (idx.leaf_bits[sizes > 16] == idx.word_bits).all()
 
 
 def test_leaf_words_match_leaf_symbols():
@@ -49,29 +52,46 @@ def test_leaf_words_match_leaf_symbols():
     word on all positions (prefix property)."""
     X = znormed(300, 64, seed=3)
     idx = build_messi(X, leaf_size=8)
-    for nd in idx.leaves:
-        prefix = idx.words[nd.rows].astype(np.int64) >> \
-            (idx.word_bits - nd.bits)[None, :]
-        assert (prefix == nd.symbols[None, :]).all()
+    leaf = _leaf_of_row(idx)
+    prefix = idx.words_perm.astype(np.int64) >> \
+        (idx.word_bits - idx.leaf_bits[leaf])
+    assert (prefix == idx.leaf_symbols[leaf]).all()
 
 
 def test_root_keys_are_first_bits():
     X = znormed(100, 64, seed=4)
     idx = build_sofa(X, leaf_size=32)
-    for key, nd in idx.root.items():
-        assert (np.asarray(key) == nd.symbols).all()  # 1-bit prefix word
-        assert (np.asarray(key) < 2).all()
-        assert (nd.bits == 1).all()
+    root_keys = idx.leaf_symbols >> (idx.leaf_bits - 1)
+    assert (root_keys < 2).all()
+    # every series sits under the root child of its own 1-bit prefix word
+    first_bits = idx.words_perm.astype(np.int64) >> (idx.word_bits - 1)
+    assert (first_bits == root_keys[_leaf_of_row(idx)]).all()
+    assert idx.structure_stats()["root_fanout"] == \
+        len(np.unique(first_bits, axis=0))
 
 
 def test_structure_stats_consistent():
     X = znormed(400, 64, seed=5)
     idx = build_messi(X, leaf_size=16)
     st = idx.structure_stats()
-    assert st["n_leaves"] == len(idx.leaves)
-    assert st["root_fanout"] == len(idx.root)
+    assert st["n_leaves"] == len(idx.leaf_start) - 1 == len(idx.leaf_bits)
+    assert st["root_fanout"] <= st["n_leaves"]
     assert st["mean_depth"] >= 1.0
-    assert 0 < st["mean_leaf_fill"] <= 500 / 16
+    assert st["mean_leaf_fill"] == pytest.approx(
+        400 / st["n_leaves"] / 16)
+
+
+@pytest.mark.parametrize("name,builder,expected", [
+    ("sofa", build_sofa, {"root_fanout": 1143, "n_leaves": 1677,
+                          "mean_depth": 2.1562313655336913}),
+    ("messi", build_messi, {"root_fanout": 484, "n_leaves": 1415,
+                            "mean_depth": 4.288339222614841}),
+])
+def test_tree_shape_pinned(name, builder, expected):
+    """The split rule builds exactly the tree it always built."""
+    X = make_dataset("Astro", scale=0.3, seed=7)
+    st = builder(X, leaf_size=8).structure_stats()
+    assert {key: st[key] for key in expected} == expected
 
 
 def test_empty_index():
@@ -133,12 +153,23 @@ def test_exact_for_any_leaf_size(name, builder, leaf_size):
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 64, 100_000])
-def test_exact_for_any_chunk_granularity(chunk_rows):
+def test_exact_for_any_chunk_granularity(chunk_rows, monkeypatch):
+    monkeypatch.setattr(tree, "CHUNK_ROWS", chunk_rows)
     X = znormed(300, 64, seed=23)
     idx = build_sofa(X, leaf_size=16)
     q = znormed(1, 64, seed=24)[0]
-    got = idx.knn(q, k=4, chunk_rows=chunk_rows)
+    got = idx.knn(q, k=4)
     assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 4)]
+
+
+def test_leaf_skipped_only_when_its_bound_reaches_bsf():
+    """The seed leaf (lower bound 0) holds only the second-nearest series;
+    the nearest sits in a leaf whose bound 0.25 is below the seed's BSF
+    0.3, so that leaf must still be drained."""
+    q = np.full(4, 0.5)
+    X = np.array([[0.5, 0.5, 0.5, 1.048], [-0.01, 0.5, 0.5, 0.5]])
+    idx = TreeIndex(SAXSummary(4, l=4, alphabet=4), X, leaf_size=1)
+    assert [i for _, i in idx.knn(q, k=1)] == [1]
 
 
 @pytest.mark.parametrize("name,builder", BUILDERS)
