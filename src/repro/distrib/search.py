@@ -125,7 +125,9 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     identically, as in the paper's single learned transformation
     (Figure 5). ``cache_token`` enables the warm fast path (see module
     docstring); it must uniquely identify (dataset, partitioning,
-    method parameters).
+    method parameters). Queries are checked on the driver before any
+    Spark job: a NaN or inf, or (for ``'sofa'``) a length other than
+    ``summary.n``, raises ``ValueError``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -133,6 +135,11 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
         raise ValueError("method='sofa' requires a pre-fit SFA summary "
                          "(use repro.distrib.mcb.fit_sfa_spark)")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite (NaN or inf found)")
+    if method == "sofa" and queries.shape[1] != summary.n:
+        raise ValueError(f"query length {queries.shape[1]} != summary length "
+                         f"{summary.n}")
     local = _local_results(df, queries, k, method, summary, leaf_size, l,
                            alphabet, cache_token)
     w = Window.partitionBy("query_id").orderBy(F.col("dist").asc(),

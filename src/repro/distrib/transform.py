@@ -7,7 +7,7 @@ Algorithm 2 over the whole collection); ``gemini_knn_sql`` answers an
 exact k-NN query with a pure DataFrame plan:
 
 1. LBD column via a scalar pandas UDF over the word column (the
-   vectorized branchless kernel runs inside the UDF batch);
+   per-query table kernel runs inside the UDF batch);
 2. seed BSF = max true distance among the k smallest-LBD candidates
    (window row_number over lbd);
 3. candidate filter ``lbd <= bsf`` — GEMINI's guarantee: every true

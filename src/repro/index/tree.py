@@ -18,8 +18,11 @@ Exact search (Section IV-C, GEMINI): the node-level lower bounds of
 smallest lower bound is drained first and seeds the best-so-far (BSF),
 replacing MESSI's approximate descent. The queue is then drained until
 its head's LBD reaches the BSF: each drained leaf is LBD-filtered per
-series with the batched branchless kernel and survivors are verified
-with real Euclidean distances, tightening the BSF as they go.
+series and survivors are verified with real Euclidean distances,
+tightening the BSF as they go. The per-series LBD gathers from a
+per-query ``mindist2_table`` (one (position, symbol) term per entry, the
+product-quantization analog of Algorithm 3) through ``table_offsets``,
+the leaf-ordered words stored as flat indices into that table.
 
 The queue is drained in *chunks* (batch ``DeleteMin``): the first chunk
 is one leaf, then the row budget doubles up to ``CHUNK_ROWS``, so the
@@ -42,7 +45,7 @@ import numpy as np
 
 from repro.core.distance import ed2_batch
 from repro.summaries.common import SymbolicSummary
-from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
+from repro.summaries.simd import batch_interval_mindist2, mindist2_table
 
 #: row budget of one batch-DeleteMin chunk once the ramp has grown
 CHUNK_ROWS = 2048
@@ -131,6 +134,9 @@ class TreeIndex:
         self.leaf_bits = np.array([lf[2] for lf in leaves],
                                   dtype=np.int64).reshape(-1, l)
         self.words_perm = words[self.perm]
+        # flat index of (position j, symbol) into a (l, alphabet) table
+        self.table_offsets = (self.words_perm.astype(np.intp)
+                              + (np.arange(l, dtype=np.intp) << wb))
         cols = np.arange(l)[None, :]
         shift = wb - self.leaf_bits
         self.leaf_lo = self.summary.edges[cols, self.leaf_symbols << shift]
@@ -173,16 +179,20 @@ class TreeIndex:
         """Exact k nearest neighbors of z-normalized query ``q``.
 
         Returns ``[(distance, id), ...]`` ascending, ties broken by id.
+        Raises ``ValueError`` if ``q`` holds a NaN or an infinity.
         """
+        q = np.ascontiguousarray(q, dtype=np.float64).ravel()
+        if not np.isfinite(q).all():
+            raise ValueError("query must be finite (NaN or inf found)")
         if self.X.shape[0] == 0:
             return []
         k = min(k, self.X.shape[0])
         st = stats if stats is not None else SearchStats()
         st.n_series = self.X.shape[0]
         st.n_leaves = len(self.leaf_bits)
-        q = np.ascontiguousarray(q, dtype=np.float64).ravel()
         qvals = self.summary.approx(q[None, :])[0]
-        edges, weights = self.summary.edges, self.summary.weights
+        weights = self.summary.weights
+        table = mindist2_table(qvals, self.summary.edges, weights).ravel()
 
         # heap of (-d2, -id) so the worst of the current k is on top
         best: list[tuple[float, int]] = []
@@ -200,7 +210,7 @@ class TreeIndex:
         def process(sel: np.ndarray) -> None:
             """LBD-filter + exact-verify the permuted row positions ``sel``."""
             st.series_lbd_checked += len(sel)
-            lbd2 = batch_mindist2(qvals, self.words_perm[sel], edges, weights)
+            lbd2 = table[self.table_offsets[sel]].sum(axis=1)
             surv = sel[lbd2 < bsf2()]
             if len(surv) == 0:
                 return

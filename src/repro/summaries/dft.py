@@ -21,13 +21,16 @@ class ComponentSpace:
     """The scalar Fourier component layout for series length ``n``.
 
     ``labels[i] = (k, 0|1)`` — complex coefficient index and real(0)/imag(1)
-    part of scalar component ``i``; ``weights[i]`` is its multiplier in the
-    squared-ED decomposition.
+    part of scalar component ``i``; ``ks``/``parts`` hold the same two
+    columns as arrays; ``weights[i]`` is its multiplier in the squared-ED
+    decomposition.
     """
 
     n: int
     labels: tuple  # tuple[(k, part), ...]
     weights: np.ndarray  # (m,) float64
+    ks: np.ndarray  # (m,) int64
+    parts: np.ndarray  # (m,) int64
 
     @property
     def m(self) -> int:
@@ -49,7 +52,9 @@ def component_space(n: int) -> ComponentSpace:
         if not dc_or_nyq:
             labels.append((k, 1))
             weights.append(2.0)
-    return ComponentSpace(n=n, labels=tuple(labels), weights=np.asarray(weights))
+    ks, parts = np.array(labels, dtype=np.int64).reshape(-1, 2).T
+    return ComponentSpace(n=n, labels=tuple(labels), weights=np.asarray(weights),
+                          ks=ks, parts=parts)
 
 
 def dft_components(x: np.ndarray, space: ComponentSpace) -> np.ndarray:
@@ -58,10 +63,8 @@ def dft_components(x: np.ndarray, space: ComponentSpace) -> np.ndarray:
     if x.shape[1] != space.n:
         raise ValueError(f"series length {x.shape[1]} != space.n {space.n}")
     spec = np.fft.rfft(x, axis=1) / np.sqrt(space.n)
-    ks = np.fromiter((k for k, _ in space.labels), dtype=np.int64)
-    parts = np.fromiter((p for _, p in space.labels), dtype=np.int64)
-    out = np.where(parts[None, :] == 0, spec[:, ks].real, spec[:, ks].imag)
-    return out
+    c = spec[:, space.ks]
+    return np.where(space.parts == 0, c.real, c.imag)
 
 
 def dft_lb2(ca: np.ndarray, cb: np.ndarray, weights: np.ndarray) -> np.ndarray:

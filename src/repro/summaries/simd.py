@@ -1,26 +1,30 @@
-"""Branchless, batched lower-bound distance kernels (paper Section IV-H).
+"""Batched lower-bound distance kernels (paper Section IV-H).
 
 The paper's Algorithm 3 vectorizes Eq. 2 with SIMD: gather each symbol's
 [LOWER, UPPER) interval, build UPPER/LOWER/ZERO condition masks, AND
 each branch's distance with its mask, combine, and early-abandon after
-each 8-wide chunk. NumPy's vectorized ufuncs over contiguous arrays are
-the single-node Python analog: the same mask dataflow, no per-element
-Python branching. They do not abandon early: one pass over a whole batch
-of words costs less in NumPy than stopping series by series.
+each 8-wide chunk.
+
+The per-series kernel here takes the product-quantization route instead
+(asymmetric distance computation, Jégou et al., TPAMI 2011): a query has
+only ``l x alphabet`` possible (position, symbol) terms of Eq. 2, so
+``mindist2_table`` evaluates all of them once per query, and the LBD of
+a word is ``l`` table gathers and a sum. The branch masks of Algorithm 3
+collapse into two ``np.maximum`` calls over the table. No early
+abandoning: one pass over a whole batch of words costs less in NumPy
+than stopping series by series.
 
 All functions take the *query side* as numeric approx values (PAA means
 for iSAX / scaled DFT components for SFA) and the *candidate side* as
-symbols, plus the summary's ``edges``/``weights``. They return squared
-lower bounds; callers compare against squared BSF.
+symbols or interval boxes, plus the summary's ``edges``/``weights``.
+They return squared lower bounds; callers compare against squared BSF.
 """
 import numpy as np
-
-from repro.summaries.common import WORD_BITS
 
 
 def mindist2_ref(qvals, word, edges, weights) -> float:
     """Scalar reference of Eq. 2 with explicit branches — the ground truth
-    the branchless kernels are tested against."""
+    the batched kernels are tested against."""
     total = 0.0
     for j in range(len(word)):
         lo = edges[j, word[j]]
@@ -36,27 +40,29 @@ def mindist2_ref(qvals, word, edges, weights) -> float:
     return float(total)
 
 
-def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
-    """Squared LBD between one query and ``N`` words — branchless.
+def mindist2_table(qvals, edges, weights) -> np.ndarray:
+    """Every Eq. 2 term of one query: ``(l, alphabet)`` float64.
 
-    ``qvals``: (l,) float; ``words``: (N, l) uint8; returns (N,) float64.
-    Mirrors Algorithm 3's mask construction: gathers are the
-    ``Gather_bound`` step, the two ``np.where``-free mask-multiplies are
-    the ``(V_DL and V_ML) or (V_DU and V_MU)`` combine.
+    ``T[j, a] = weights[j] * d**2`` with ``d`` the distance from
+    ``qvals[j]`` to symbol ``a``'s interval ``[edges[j, a], edges[j, a+1])``.
+    The +-inf outer edges are safe: ``inf - q`` only ever meets
+    ``np.maximum(., 0)``, never a zero factor.
+    """
+    q = np.asarray(qvals, dtype=np.float64)[:, None]
+    d = np.maximum(edges[:, :-1] - q, 0.0) + np.maximum(q - edges[:, 1:], 0.0)
+    return d * d * np.asarray(weights, dtype=np.float64)[:, None]
+
+
+def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
+    """Squared LBD between one query and ``N`` words.
+
+    ``qvals``: (l,) float; ``words``: (N, l) uint8; returns (N,) float64:
+    the query's table, then one gather per (word, position) and a sum.
     """
     words = np.atleast_2d(words)
-    l = words.shape[1]
-    cols = np.arange(l)[None, :]
-    lo = edges[cols, words.astype(np.int64)]          # V_B_L
-    hi = edges[cols, words.astype(np.int64) + 1]      # V_B_U
-    q = np.asarray(qvals, dtype=np.float64)[None, :]  # V_F_Q
-    # Mask-blend (SIMD select) rather than mask-multiply: the boundary bins
-    # have +-inf edges and IEEE inf*0 is NaN, so blending is the correct
-    # analog of Algorithm 3's AND/OR combine.
-    d_low = np.where(q < lo, lo - q, 0.0)             # LOWER branch, masked
-    d_up = np.where(q > hi, q - hi, 0.0)              # UPPER branch, masked
-    d = d_low + d_up                                  # ZERO branch contributes 0
-    return np.einsum("ij,j->i", d * d, np.asarray(weights, dtype=np.float64))
+    table = mindist2_table(qvals, edges, weights)
+    cols = np.arange(words.shape[1]) * table.shape[1]
+    return table.ravel()[words.astype(np.intp) + cols].sum(axis=1)
 
 
 def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:
@@ -69,24 +75,3 @@ def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:
     q = np.asarray(qvals, dtype=np.float64)[None, :]
     d = np.where(q < lo, lo - q, 0.0) + np.where(q > hi, q - hi, 0.0)
     return np.einsum("ij,j->i", d * d, np.asarray(weights, dtype=np.float64))
-
-
-def node_mindist2(qvals, symbols, bits, edges, weights,
-                  word_bits: int = WORD_BITS) -> float:
-    """Squared LBD between a query and a *tree node* at reduced cardinality.
-
-    ``symbols[j]`` is the node's symbol at position ``j`` expressed with
-    ``bits[j]`` bits (cardinality ``2^bits[j]``); its interval at the full
-    alphabet is ``[edges[j, s << shift], edges[j, (s+1) << shift])``.
-    ``bits[j] == 0`` means "any symbol" — the whole real line, distance 0.
-    Hierarchical edges make this a lower bound on every leaf mindist in
-    the subtree, which makes GEMINI's subtree pruning sound.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    bits = np.asarray(bits, dtype=np.int64)
-    shift = word_bits - bits
-    lo = edges[np.arange(len(symbols)), symbols << shift]
-    hi = edges[np.arange(len(symbols)), (symbols + 1) << shift]
-    q = np.asarray(qvals, dtype=np.float64)
-    d = np.where(q < lo, lo - q, 0.0) + np.where(q > hi, q - hi, 0.0)
-    return float(np.dot(np.asarray(weights, dtype=np.float64) * d, d))

@@ -1,9 +1,11 @@
-"""Shared test utilities: data factories, a brute-force oracle, and the
-scalar early-abandoning kernels of the paper (UCR-style ED, Algorithm 3)."""
+"""Shared test utilities: data factories, a brute-force oracle, the
+scalar early-abandoning kernels of the paper (UCR-style ED, Algorithm 3)
+and a scalar node-level mindist."""
 import numpy as np
 
 from repro.core.distance import ed2_batch
 from repro.core.znorm import znormalize
+from repro.summaries.common import WORD_BITS
 
 
 def znormed(n_series: int, length: int, seed: int = 0) -> np.ndarray:
@@ -63,3 +65,24 @@ def mindist2_early_abandon(qvals, word, edges, weights, bsf2: float,
         if total > bsf2:
             return total
     return total
+
+
+def node_mindist2(qvals, symbols, bits, edges, weights,
+                  word_bits: int = WORD_BITS) -> float:
+    """Squared LBD between a query and a *tree node* at reduced cardinality.
+
+    ``symbols[j]`` is the node's symbol at position ``j`` expressed with
+    ``bits[j]`` bits (cardinality ``2^bits[j]``); its interval at the full
+    alphabet is ``[edges[j, s << shift], edges[j, (s+1) << shift])``.
+    ``bits[j] == 0`` means "any symbol" — the whole real line, distance 0.
+    Hierarchical edges make this a lower bound on every leaf mindist in
+    the subtree, which makes GEMINI's subtree pruning sound.
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    shift = word_bits - bits
+    lo = edges[np.arange(len(symbols)), symbols << shift]
+    hi = edges[np.arange(len(symbols)), (symbols + 1) << shift]
+    q = np.asarray(qvals, dtype=np.float64)
+    d = np.where(q < lo, lo - q, 0.0) + np.where(q > hi, q - hi, 0.0)
+    return float(np.dot(np.asarray(weights, dtype=np.float64) * d, d))

@@ -145,6 +145,31 @@ def test_exact_knn_rejects_unknown_method(df, data):
         exact_knn(df, Q, method="faiss-gpu")
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_exact_knn_rejects_non_finite_queries(spark, df, data, summary,
+                                              method, bad):
+    """Checked on the driver: no Spark job starts for a bad query."""
+    _, Q = data
+    Q = Q.copy()
+    Q[1, 5] = bad
+    tracker = spark.sparkContext.statusTracker()
+    jobs = len(tracker.getJobIdsForGroup())
+    with pytest.raises(ValueError, match="finite"):
+        exact_knn(df, Q, k=1, method=method, summary=summary, leaf_size=32)
+    assert len(tracker.getJobIdsForGroup()) == jobs
+
+
+def test_exact_knn_rejects_wrong_query_length_for_sofa(spark, df, data,
+                                                       summary):
+    _, Q = data
+    tracker = spark.sparkContext.statusTracker()
+    jobs = len(tracker.getJobIdsForGroup())
+    with pytest.raises(ValueError, match="length"):
+        exact_knn(df, Q[:, :-1], k=1, method="sofa", summary=summary)
+    assert len(tracker.getJobIdsForGroup()) == jobs
+
+
 def test_exact_knn_with_cache_token_is_stable(spark, df, data, summary):
     X, Q = data
     a = exact_knn(df, Q, k=1, method="sofa", summary=summary, leaf_size=32,

@@ -11,6 +11,7 @@ from repro.experiments.runner import SearchConfig, timed_search
 from repro.experiments.tables import (faiss_crossover, table1, table2, table3,
                                       table4, table5, table6)
 from repro.experiments.tlb import TLB_METHODS, fit_variants, tlb_spark
+from repro.summaries.sax import SAXSummary
 from tests.helpers import znormed
 
 SMALL = dict(scale=0.05, n_queries=4)
@@ -80,6 +81,21 @@ def test_tlb_spark_bounds_and_methods(spark):
     assert len(res) == 6
     for label, v in res.items():
         assert 0.0 <= v <= 1.0, label
+
+
+def test_tlb_spark_raises_on_lbd_above_ed(spark):
+    """A summary whose weights are inflated 100x is no lower bound; the
+    TLB must fail instead of averaging clipped ratios."""
+    train = znormed(60, 64, seed=5)
+    queries = znormed(5, 64, seed=6)
+    good = SAXSummary(64, l=16, alphabet=16)
+    bad = SAXSummary(64, l=16, alphabet=16)
+    bad.weights = bad.weights * 100.0
+    with pytest.raises(ValueError, match="LBD > ED") as err:
+        tlb_spark(spark, train, queries, {"iSAX": good, "iSAX x100": bad},
+                  partitions=2)
+    assert "'iSAX x100'" in str(err.value)
+    assert "'iSAX'" not in str(err.value)
 
 
 def test_tlb_increases_with_alphabet(spark):

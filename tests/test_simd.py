@@ -1,12 +1,13 @@
-"""Unit tests for the branchless/batched mindist kernels (Algorithm 3)."""
+"""Unit tests for the batched mindist kernels (Algorithm 3): the per-query
+table and its per-series gather, and the node-level interval kernel."""
 import numpy as np
 import pytest
 
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import (batch_interval_mindist2, batch_mindist2,
-                                  mindist2_ref, node_mindist2)
-from tests.helpers import mindist2_early_abandon, znormed
+                                  mindist2_ref, mindist2_table)
+from tests.helpers import mindist2_early_abandon, node_mindist2, znormed
 
 
 def _summary(kind, seed=0, alphabet=64, l=8, n=64):
@@ -26,6 +27,47 @@ def test_batch_equals_scalar_reference(kind, seed):
     got = batch_mindist2(qv, W, s.edges, s.weights)
     ref = [mindist2_ref(qv, W[i], s.edges, s.weights) for i in range(40)]
     np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+def _edge_case_queries(s):
+    """Query approx rows: exactly on an interior edge at every position,
+    below the first and above the last interior edge, and both
+    alternating by position."""
+    mid = s.edges[:, s.alphabet // 2]
+    below = s.edges[:, 1] - 10.0
+    above = s.edges[:, -2] + 10.0
+    alt = np.where(np.arange(s.l) % 2 == 0, below, above)
+    return np.stack([mid, below, above, alt])
+
+
+def _edge_case_words(s, seed=0):
+    """Random words plus the all-0 and all-(alphabet-1) words (the +-inf
+    bins) and a word mixing both per position."""
+    g = np.random.default_rng(seed)
+    W = g.integers(0, s.alphabet, (30, s.l))
+    ends = np.stack([np.zeros(s.l), np.full(s.l, s.alphabet - 1),
+                     np.where(np.arange(s.l) % 2 == 0, 0, s.alphabet - 1)])
+    return np.concatenate([W, ends]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("kind", ["sax", "sfa"])
+@pytest.mark.parametrize("alphabet", [4, 16, 256])
+def test_table_and_gather_match_scalar_reference(kind, alphabet):
+    s = _summary(kind, seed=alphabet, alphabet=alphabet)
+    q = znormed(1, 64, seed=alphabet + 1)
+    queries = np.concatenate([s.approx(q), _edge_case_queries(s)])
+    W = _edge_case_words(s, seed=alphabet)
+    for qv in queries:
+        table = mindist2_table(qv, s.edges, s.weights)
+        assert table.shape == (s.l, alphabet)
+        ref_terms = [[mindist2_ref(qv[j:j + 1], [a], s.edges[j:j + 1],
+                                   s.weights[j:j + 1])
+                      for a in range(alphabet)] for j in range(s.l)]
+        np.testing.assert_allclose(table, ref_terms, rtol=1e-12, atol=1e-12)
+        got = batch_mindist2(qv, W, s.edges, s.weights)
+        ref = [mindist2_ref(qv, w, s.edges, s.weights) for w in W]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["sax", "sfa"])
@@ -59,7 +101,7 @@ def test_early_abandon_certifies_prunable():
 
 
 def test_boundary_symbols_no_nan():
-    """Symbols 0 and alphabet-1 have +-inf edges; the mask-blend must not
+    """Symbols 0 and alphabet-1 have +-inf edges; the table must not
     produce NaN from inf*0."""
     s = _summary("sax", alphabet=8)
     W = np.array([[0] * 8, [7] * 8], dtype=np.uint8)

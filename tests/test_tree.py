@@ -152,6 +152,30 @@ def test_exact_for_any_leaf_size(name, builder, leaf_size):
             [i for _, i in brute_knn(X, q, 3)]
 
 
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("alphabet", [4, 256])
+def test_exact_for_any_alphabet(name, builder, alphabet):
+    """The per-query table has ``alphabet`` columns and the gather offsets
+    shift by ``log2(alphabet)``: both ends of the range stay exact."""
+    X = _gen("seismic", 300, 64, seed=40).astype(np.float32)
+    Q = _gen("seismic", 5, 64, seed=41).astype(np.float32)
+    idx = builder(X, l=8, alphabet=alphabet, leaf_size=16)
+    assert idx.table_offsets.max() < 8 * alphabet
+    for q in Q:
+        assert [i for _, i in idx.knn(q, k=3)] == \
+            [i for _, i in brute_knn(X, q, 3)]
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_raises(name, builder, bad):
+    X = znormed(50, 32, seed=42)
+    q = X[3].copy()
+    q[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        builder(X, leaf_size=8).knn(q, k=3)
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 64, 100_000])
 def test_exact_for_any_chunk_granularity(chunk_rows, monkeypatch):
     monkeypatch.setattr(tree, "CHUNK_ROWS", chunk_rows)
