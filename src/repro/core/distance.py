@@ -3,9 +3,11 @@
 - ``ed2`` / ``ed``: scalar reference (tests, small paths).
 - ``ed2_batch``: exact batch squared ED via the GEMM identity
   ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` — the FAISS IndexFlatL2
-  analog. The tree verifies its LBD survivors with it; the UCR-Suite-P
-  baseline abandons early per block of rows by calling it on a prefix
-  of the points first (``repro.baselines.ucr_scan``).
+  analog, used by the flat scan. The UCR-Suite-P baseline abandons
+  early per block of rows by calling it on a prefix of the points first
+  (``repro.baselines.ucr_scan``). The tree verifies its few LBD
+  survivors per chunk with explicit differences instead, which are
+  cheaper at that size and free of the identity's cancellation.
 """
 import numpy as np
 

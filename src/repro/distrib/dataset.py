@@ -9,14 +9,21 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.validate import all_finite
+
 SERIES_SCHEMA = "id long, series array<double>"
 
 
 def series_df(spark: SparkSession, X: np.ndarray,
               ids: np.ndarray | None = None,
               num_partitions: int | None = None) -> DataFrame:
-    """Wrap a series matrix ``(N, n)`` as a partitioned Spark DataFrame."""
+    """Wrap a series matrix ``(N, n)`` as a partitioned Spark DataFrame.
+
+    Raises ``ValueError`` if ``X`` holds a NaN or an infinity.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not all_finite(X):
+        raise ValueError("series must be finite (NaN or inf found)")
     ids = np.arange(len(X), dtype=np.int64) if ids is None else np.asarray(ids)
     pdf = pd.DataFrame({"id": ids, "series": list(X)})
     df = spark.createDataFrame(pdf, schema=SERIES_SCHEMA)

@@ -12,17 +12,20 @@ Structure (paper Section IV-B):
 Only the leaves are stored: search never walks the tree, and the inner
 nodes are implicit in the leaves' (symbols, bits) words.
 
-Exact search (Section IV-C, GEMINI): the node-level lower bounds of
-*all* leaves come from one vectorized pass over the leaf interval boxes
-``leaf_lo``/``leaf_hi`` and order the priority queue. The leaf with the
-smallest lower bound is drained first and seeds the best-so-far (BSF),
-replacing MESSI's approximate descent. The queue is then drained until
-its head's LBD reaches the BSF: each drained leaf is LBD-filtered per
-series and survivors are verified with real Euclidean distances,
-tightening the BSF as they go. The per-series LBD gathers from a
-per-query ``mindist2_table`` (one (position, symbol) term per entry, the
-product-quantization analog of Algorithm 3) through ``table_offsets``,
-the leaf-ordered words stored as flat indices into that table.
+Exact search (Section IV-C, GEMINI): each query builds one lookup
+table, ``lbd_table``, of every Eq. 2 term it can need: one per
+(position, symbol) at every cardinality of the summary's
+``cardinality_pyramid`` (the product-quantization analog of Algorithm
+3). Both lower bounds are a gather from it and a BLAS row sum:
+``leaf_offsets`` indexes the leaves' variable-cardinality words and
+``table_offsets`` the leaf-ordered series words. The node-level bounds
+of *all* leaves order the priority queue. The leaf with the smallest
+lower bound is drained first and seeds the best-so-far (BSF), replacing
+MESSI's approximate descent. The queue is then drained until its head's
+LBD reaches the BSF: each drained leaf is LBD-filtered per series and
+survivors are verified with real Euclidean distances (explicit float64
+differences, free of the GEMM identity's cancellation), tightening the
+BSF as they go.
 
 The queue is drained in *chunks* (batch ``DeleteMin``): the first chunk
 is one leaf, then the row budget doubles up to ``CHUNK_ROWS``, so the
@@ -40,12 +43,14 @@ beats another, independent of Python/C constant factors.
 """
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.distance import ed2_batch
+from repro.core.validate import all_finite
 from repro.summaries.common import SymbolicSummary
-from repro.summaries.simd import batch_interval_mindist2, mindist2_table
+from repro.summaries.simd import (cardinality_pyramid, interval_table,
+                                  pyramid_offsets)
 
 #: row budget of one batch-DeleteMin chunk once the ramp has grown
 CHUNK_ROWS = 2048
@@ -73,12 +78,21 @@ class TreeIndex:
     ``ids`` are the external identifiers returned from queries (defaults
     to 0..N-1); the MESSI/SOFA leaf-capacity parameter is ``leaf_size``.
     Leaf ``i`` holds the rows ``perm[leaf_start[i]:leaf_start[i + 1]]``.
+    Raises ``ValueError`` if ``X`` is not 2-D or holds a NaN or an
+    infinity, or if the word length exceeds 63 (the packed root key).
     """
 
     def __init__(self, summary: SymbolicSummary, X: np.ndarray,
                  ids: np.ndarray | None = None, leaf_size: int = 128):
         self.summary = summary
-        self.X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float32)
+        if np.ndim(X) != 2:
+            raise ValueError(f"X must be 2-D (N, n), got {np.ndim(X)}-D")
+        self.X = np.ascontiguousarray(X, dtype=np.float32)
+        if not all_finite(self.X):
+            raise ValueError("series must be finite (NaN or inf found)")
+        if summary.l > 63:
+            raise ValueError(f"word length {summary.l} > 63 does not fit "
+                             "the packed root key")
         n_rows = self.X.shape[0]
         self.ids = np.arange(n_rows, dtype=np.int64) if ids is None \
             else np.asarray(ids, dtype=np.int64)
@@ -95,18 +109,25 @@ class TreeIndex:
     # ---------------------------------------------------------------- build
     def _build(self, words: np.ndarray) -> None:
         """Split the root groups into leaves and lay the leaves out as
-        flat arrays: (symbols, bits) words, interval boxes (the node-level
-        LBD operands), and row ids grouped by leaf."""
+        flat arrays: (symbols, bits) words, their flat indices into the
+        per-query table (the node-level LBD operands), and row ids
+        grouped by leaf."""
         l = words.shape[1]
         wb = self.word_bits
         # group rows by root key (the 1-bit prefix word), like MESSI's
-        # initial chunk pass
-        keys, inverse, counts = np.unique(
-            (words >> (wb - 1)).astype(np.int64), axis=0,
-            return_inverse=True, return_counts=True)
-        groups = np.split(np.argsort(inverse.ravel(), kind="stable"),
+        # initial chunk pass; packed first position most significant, so
+        # integer order is the rows' lexicographic order (built a column
+        # at a time: an (N, l) int64 temporary raised the build's peak RSS)
+        packed = np.zeros(len(words), dtype=np.int64)
+        for j in range(l):
+            packed <<= 1
+            packed |= words[:, j] >> (wb - 1)
+        keys, inverse, counts = np.unique(packed, return_inverse=True,
+                                          return_counts=True)
+        groups = np.split(np.argsort(inverse, kind="stable"),
                           np.cumsum(counts)[:-1])
-        stack = [(rows, key, np.ones(l, dtype=np.int64))
+        place = np.arange(l - 1, -1, -1)
+        stack = [(rows, (key >> place) & 1, np.ones(l, dtype=np.int64))
                  for rows, key in zip(groups, keys)]
         leaves = []
         while stack:
@@ -134,13 +155,30 @@ class TreeIndex:
         self.leaf_bits = np.array([lf[2] for lf in leaves],
                                   dtype=np.int64).reshape(-1, l)
         self.words_perm = words[self.perm]
-        # flat index of (position j, symbol) into a (l, alphabet) table
+        # flat index of (position j, symbol) into the table's first
+        # (l, alphabet) block, the word cardinality
         self.table_offsets = (self.words_perm.astype(np.intp)
                               + (np.arange(l, dtype=np.intp) << wb))
-        cols = np.arange(l)[None, :]
-        shift = wb - self.leaf_bits
-        self.leaf_lo = self.summary.edges[cols, self.leaf_symbols << shift]
-        self.leaf_hi = self.summary.edges[cols, (self.leaf_symbols + 1) << shift]
+        self.pyramid_lo, self.pyramid_hi = cardinality_pyramid(
+            self.summary.edges)
+        self.leaf_offsets = pyramid_offsets(self.leaf_symbols,
+                                            self.leaf_bits, wb)
+
+    @cached_property
+    def leaf_lo(self) -> np.ndarray:
+        """Lower interval bound ``(L, l)`` of every leaf, from the edges.
+        Search reads ``leaf_offsets`` instead; kept for measuring
+        ``batch_interval_mindist2``, the node-level reference kernel."""
+        shift = self.word_bits - self.leaf_bits
+        return self.summary.edges[np.arange(self.summary.l),
+                                  self.leaf_symbols << shift]
+
+    @cached_property
+    def leaf_hi(self) -> np.ndarray:
+        """Upper interval bound ``(L, l)`` of every leaf (see ``leaf_lo``)."""
+        shift = self.word_bits - self.leaf_bits
+        return self.summary.edges[np.arange(self.summary.l),
+                                  (self.leaf_symbols + 1) << shift]
 
     def _choose_split_pos(self, words: np.ndarray,
                           bits: np.ndarray) -> int | None:
@@ -174,6 +212,13 @@ class TreeIndex:
         }
 
     # --------------------------------------------------------------- search
+    def lbd_table(self, qvals: np.ndarray) -> np.ndarray:
+        """The query's flat lookup table: ``table[leaf_offsets]`` and
+        ``table[table_offsets]`` hold the Eq. 2 terms of the leaf and
+        series words."""
+        return interval_table(qvals, self.pyramid_lo, self.pyramid_hi,
+                              self.summary.weights).ravel()
+
     def knn(self, q: np.ndarray, k: int = 1,
             stats: SearchStats | None = None) -> list[tuple[float, int]]:
         """Exact k nearest neighbors of z-normalized query ``q``.
@@ -190,9 +235,8 @@ class TreeIndex:
         st = stats if stats is not None else SearchStats()
         st.n_series = self.X.shape[0]
         st.n_leaves = len(self.leaf_bits)
-        qvals = self.summary.approx(q[None, :])[0]
-        weights = self.summary.weights
-        table = mindist2_table(qvals, self.summary.edges, weights).ravel()
+        table = self.lbd_table(self.summary.approx(q[None, :])[0])
+        ones = np.ones(self.summary.l)  # row sums as BLAS matrix-vector products
 
         # heap of (-d2, -id) so the worst of the current k is on top
         best: list[tuple[float, int]] = []
@@ -210,12 +254,13 @@ class TreeIndex:
         def process(sel: np.ndarray) -> None:
             """LBD-filter + exact-verify the permuted row positions ``sel``."""
             st.series_lbd_checked += len(sel)
-            lbd2 = table[self.table_offsets[sel]].sum(axis=1)
+            lbd2 = table[self.table_offsets[sel]] @ ones
             surv = sel[lbd2 < bsf2()]
             if len(surv) == 0:
                 return
             st.series_ed_computed += len(surv)
-            d2s = ed2_batch(q[None, :], self.X[self.perm[surv]])[0]
+            diff = self.X[self.perm[surv]] - q
+            d2s = np.einsum("ij,ij->i", diff, diff)
             b = bsf2()
             for j in np.argsort(d2s, kind="stable"):
                 if d2s[j] > b and len(best) == k:
@@ -223,10 +268,9 @@ class TreeIndex:
                 offer(float(d2s[j]), int(self.ids[self.perm[surv[j]]]))
                 b = bsf2()
 
-        # node-level LBD of every leaf in one vectorized pass — the
-        # priority-queue ordering of MESSI, materialized at once
-        leaf_d2 = batch_interval_mindist2(qvals, self.leaf_lo, self.leaf_hi,
-                                          weights)
+        # node-level LBD of every leaf in one gather — the priority-queue
+        # ordering of MESSI, materialized at once
+        leaf_d2 = table[self.leaf_offsets] @ ones
         order = np.argsort(leaf_d2, kind="stable")
         queue_d2 = leaf_d2[order]
         starts = self.leaf_start[order]

@@ -5,7 +5,8 @@
   (the numeric core of SFA).
 - ``sax``: iSAX — PAA + fixed N(0,1) equal-depth quantization.
 - ``sfa``: SFA — DFT + variance feature selection + learned MCB bins.
-- ``simd``: per-query mindist table + per-series gather (Algorithm 3 analog).
+- ``simd``: per-query mindist table over every cardinality + leaf and
+  series gathers (Algorithm 3 analog).
 
 Both symbolic summaries share the ``common.SymbolicSummary`` contract:
 ``approx`` (numeric reduced representation), ``words`` (uint8 symbols at

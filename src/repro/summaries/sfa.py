@@ -14,6 +14,7 @@ bound is ``sum_j weights_j * mindist_j^2 <= ed2`` with weights from
 """
 import numpy as np
 
+from repro.core.validate import all_finite
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.dft import ComponentSpace, component_space, dft_components
 
@@ -53,11 +54,14 @@ class SFASummary(SymbolicSummary):
 
         ``n_candidate_coeffs`` restricts candidates to the first that many
         complex coefficients (paper setup: 16, i.e. 32 scalar values);
-        DC is always excluded.
+        DC is always excluded. Raises ``ValueError`` if the sample holds
+        a NaN or an infinity (it would turn the learned edges into NaN).
         """
         if selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {selection!r}")
         sample = np.atleast_2d(np.asarray(sample, dtype=np.float64))
+        if not all_finite(sample):
+            raise ValueError("sample must be finite (NaN or inf found)")
         n = sample.shape[1]
         space = component_space(n)
         comps = dft_components(sample, space)  # (N, m)

@@ -78,6 +78,14 @@ def test_to_matrix_sorts_by_id():
     np.testing.assert_allclose(X[:, 0], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_df_rejects_non_finite(spark, bad):
+    X = znormed(10, LEN, seed=44)
+    X[2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        series_df(spark, X)
+
+
 def test_series_df_custom_ids(spark):
     X = znormed(5, 16, seed=1)
     d = series_df(spark, X, ids=np.array([10, 20, 30, 40, 50]))

@@ -89,6 +89,14 @@ def test_transform_deterministic():
     np.testing.assert_array_equal(s.words(x), s.words(x))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_sample(bad):
+    X = znormed(100, 64, seed=5)
+    X[17, 30] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SFASummary.fit(X, l=8, alphabet=16)
+
+
 def test_words_range():
     s = fit(alphabet=32)
     w = s.words(znormed(100, 128, seed=7))

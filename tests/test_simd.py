@@ -6,7 +6,9 @@ import pytest
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import (batch_interval_mindist2, batch_mindist2,
-                                  mindist2_ref, mindist2_table)
+                                  cardinality_pyramid, interval_table,
+                                  mindist2_ref, mindist2_table,
+                                  pyramid_offsets)
 from tests.helpers import mindist2_early_abandon, node_mindist2, znormed
 
 
@@ -128,6 +130,30 @@ def test_interval_batch_matches_node_mindist():
         his.append(s.edges[cols, (syms + 1) << shift])
     got = batch_interval_mindist2(qv, np.array(los), np.array(his), s.weights)
     np.testing.assert_allclose(got, rows, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["sax", "sfa"])
+@pytest.mark.parametrize("alphabet", [4, 16, 256])
+def test_pyramid_gather_matches_node_mindist(kind, alphabet):
+    """Node words at every cardinality, the +-inf bins included, gather
+    their exact node-level bound from the pyramid table."""
+    s = _summary(kind, seed=alphabet, alphabet=alphabet)
+    g = np.random.default_rng(alphabet)
+    wb = s.bits
+    bits = np.concatenate([g.integers(1, wb + 1, (30, s.l)),
+                           np.ones((2, s.l), int), np.full((2, s.l), wb)])
+    syms = g.integers(0, 1 << 30, bits.shape) % (1 << bits)
+    syms[-4:] = [[0] * s.l, [1] * s.l, [0] * s.l, [alphabet - 1] * s.l]
+    lo, hi = cardinality_pyramid(s.edges)
+    off = pyramid_offsets(syms, bits, wb)
+    assert off.max() < lo.size
+    q = znormed(1, 64, seed=alphabet + 1)
+    for qv in np.concatenate([s.approx(q), _edge_case_queries(s)]):
+        got = interval_table(qv, lo, hi, s.weights).ravel()[off].sum(axis=1)
+        ref = [node_mindist2(qv, syms[i], bits[i], s.edges, s.weights,
+                             word_bits=wb) for i in range(len(bits))]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_node_mindist_zero_bits_is_zero():

@@ -8,6 +8,7 @@ from repro.datasets.registry import make_dataset, make_queries
 from repro.index import build_messi, build_sofa, tree
 from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
+from repro.summaries.simd import batch_interval_mindist2
 from tests.helpers import brute_knn, znormed
 
 BUILDERS = [("sofa", build_sofa), ("messi", build_messi)]
@@ -94,6 +95,25 @@ def test_tree_shape_pinned(name, builder, expected):
     assert {key: st[key] for key in expected} == expected
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_series_raises(bad):
+    X = znormed(50, 32, seed=43)
+    X[9, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TreeIndex(SAXSummary(32, l=8, alphabet=16), X)
+
+
+@pytest.mark.parametrize("shape", [(32,), (2, 5, 32)])
+def test_non_2d_series_raises(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        TreeIndex(SAXSummary(32, l=8, alphabet=16), np.zeros(shape))
+
+
+def test_word_longer_than_packed_root_key_raises():
+    with pytest.raises(ValueError, match="63"):
+        TreeIndex(SAXSummary(64, l=64, alphabet=4), znormed(10, 64, seed=44))
+
+
 def test_empty_index():
     s = SAXSummary(32, l=8, alphabet=16)
     idx = TreeIndex(s, np.zeros((0, 32), np.float32))
@@ -164,6 +184,41 @@ def test_exact_for_any_alphabet(name, builder, alphabet):
     for q in Q:
         assert [i for _, i in idx.knn(q, k=3)] == \
             [i for _, i in brute_knn(X, q, 3)]
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("alphabet", [4, 16, 256])
+def test_table_leaf_lbd_matches_interval_reference(name, builder, alphabet):
+    """Leaf words at every cardinality gather the same bound from the
+    per-query table as the interval kernel computes from their boxes."""
+    X = make_dataset("Astro", scale=0.3, seed=7)
+    idx = builder(X, alphabet=alphabet, leaf_size=8)
+    assert len(np.unique(idx.leaf_bits)) > 1  # split below the root
+    for q in make_queries("Astro", 4, scale=0.3):
+        qv = idx.summary.approx(q[None, :])[0]
+        got = idx.lbd_table(qv)[idx.leaf_offsets].sum(axis=1)
+        ref = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi,
+                                      idx.summary.weights)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,builder,expected", [
+    ("sofa", build_sofa, [(543, 1854, 21), (653, 2173, 17),
+                          (697, 2379, 57), (757, 2788, 142)]),
+    ("messi", build_messi, [(314, 1397, 27), (142, 583, 17),
+                            (120, 480, 72), (369, 1721, 162)]),
+])
+def test_work_counters_pinned(name, builder, expected):
+    """(leaves visited, series LBDs checked, EDs computed) per query: a
+    kernel-only change must do exactly the same GEMINI work."""
+    idx = builder(make_dataset("Astro", scale=0.3, seed=7), leaf_size=8)
+    got = []
+    for q in make_queries("Astro", 4, scale=0.3):
+        st = SearchStats()
+        idx.knn(q, k=3, stats=st)
+        got.append((st.leaves_visited, st.series_lbd_checked,
+                    st.series_ed_computed))
+    assert got == expected
 
 
 @pytest.mark.parametrize("name,builder", BUILDERS)
